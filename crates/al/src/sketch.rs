@@ -13,9 +13,14 @@
 //! 1. **Fit**: deterministic k-means ([`crate::cluster_margin::kmeans_fit`])
 //!    over a fixed prefix of the index rows produces `k` centroids.
 //! 2. **Assign**: every candidate row maps to its nearest centroid
-//!    (first-index-wins ties). New rows appended by incremental ingest are
-//!    assigned on arrival — O(Δ · k · d) per call, not O(n · k · d) — and a
-//!    prefix change (rows inserted before the fit prefix) triggers a refit.
+//!    (first-index-wins ties). New rows are assigned on arrival — O(Δ · k ·
+//!    d) per call, not O(n · k · d) — whether ingest appends them at the
+//!    tail ([`ClusterSketch::extend`]) or splices them in past a saturated
+//!    fit prefix ([`ClusterSketch::assign`] +
+//!    [`ClusterSketch::splice_assignments`]). Only a change to the fit
+//!    prefix itself (rows inserted inside it, or growth of a prefix still
+//!    shorter than `prefix_rows`) forces a refit, because only then would a
+//!    fresh fit see different rows.
 //! 3. **Reduce**: when the unmasked candidate count exceeds the cap, pick
 //!    representatives round-robin across clusters in ascending-size order
 //!    (smallest clusters first, members in ascending row order), so every
@@ -105,9 +110,62 @@ impl ClusterSketch {
         self.prefix_len
     }
 
+    /// Whether the fit prefix holds its full `prefix_rows`: growth of the
+    /// block anywhere past the prefix then leaves a fresh fit's input — and
+    /// so its centroids — unchanged.
+    pub fn prefix_saturated(&self) -> bool {
+        self.prefix_len == self.config.prefix_rows.max(1)
+    }
+
     /// Number of fitted centroids.
     pub fn clusters(&self) -> usize {
         self.centroids.rows().max(1)
+    }
+
+    /// Cluster id of every assigned row, in row order.
+    pub fn assignments(&self) -> &[usize] {
+        &self.assignments
+    }
+
+    /// Nearest-centroid ids of `rows` against the current centroids
+    /// (first-index-wins ties). Per-row results are pure functions of (row,
+    /// centroids), so they equal what [`Self::extend`] or [`Self::build`]
+    /// would assign the same rows at any position of the block.
+    pub fn assign(&self, rows: &FeatureBlock) -> Vec<usize> {
+        if rows.is_empty() {
+            return Vec::new();
+        }
+        if self.centroids.is_empty() || rows.dim() == 0 {
+            // Degenerate zero-dimensional features: every distance ties at 0,
+            // first centroid wins.
+            return vec![0; rows.rows()];
+        }
+        rows.nearest_rows(&self.centroids)
+    }
+
+    /// Replaces the assignments of rows `at..` with `tail`: the caller
+    /// spliced rows into the sketched block at or past row `at`, moving the
+    /// old rows' ids along with them and assigning the inserted rows with
+    /// [`Self::assign`]. Valid only while the splice leaves the fit prefix
+    /// untouched and saturated, which is what makes the result identical to
+    /// a fresh [`Self::build`] over the spliced block.
+    ///
+    /// # Panics
+    /// Panics if the prefix is unsaturated, or if `at` lies inside the fit
+    /// prefix or past the assigned rows.
+    pub fn splice_assignments(&mut self, at: usize, tail: Vec<usize>) {
+        assert!(
+            self.prefix_saturated(),
+            "splice into an unsaturated fit prefix needs a refit"
+        );
+        assert!(
+            (self.prefix_len..=self.assignments.len()).contains(&at),
+            "splice point {at} outside [{}, {}]",
+            self.prefix_len,
+            self.assignments.len()
+        );
+        self.assignments.truncate(at);
+        self.assignments.extend(tail);
     }
 
     /// Assigns the rows appended to `block` since the last `build`/`extend`.
@@ -127,15 +185,9 @@ impl ClusterSketch {
         if block.rows() == assigned {
             return;
         }
-        if self.centroids.is_empty() || block.dim() == 0 {
-            // Degenerate zero-dimensional features: every distance ties at 0,
-            // first centroid wins.
-            self.assignments.resize(block.rows(), 0);
-            return;
-        }
         let fresh: Vec<usize> = (assigned..block.rows()).collect();
-        self.assignments
-            .extend(block.gather(&fresh).nearest_rows(&self.centroids));
+        let ids = self.assign(&block.gather(&fresh));
+        self.assignments.extend(ids);
     }
 
     /// Reduces the unmasked rows to at most `cap` representatives, returned
@@ -227,6 +279,42 @@ mod tests {
         assert_eq!(sketch.prefix_len, fresh.prefix_len);
         let masked = vec![false; full.rows()];
         assert_eq!(sketch.reduce(&masked, 30), fresh.reduce(&masked, 30));
+    }
+
+    #[test]
+    fn splice_past_saturated_prefix_matches_fresh_build() {
+        let full = blobs(40); // 120 rows
+        let base = full.gather(&(0..90).collect::<Vec<_>>());
+        let mut sketch = ClusterSketch::build(&base, cfg(48, 6));
+        assert!(sketch.prefix_saturated());
+        // Splice rows 90..120 in between rows 59 and 60.
+        let inserted = full.gather(&(90..120).collect::<Vec<_>>());
+        let order: Vec<usize> = (0..60).chain(90..120).chain(60..90).collect();
+        let spliced = full.gather(&order);
+        let mut tail = sketch.assignments()[60..].to_vec();
+        let fresh_ids = sketch.assign(&inserted);
+        tail.splice(0..0, fresh_ids);
+        sketch.splice_assignments(60, tail);
+        let fresh = ClusterSketch::build(&spliced, cfg(48, 6));
+        assert_eq!(sketch.assignments, fresh.assignments);
+        let masked = vec![false; spliced.rows()];
+        assert_eq!(sketch.reduce(&masked, 30), fresh.reduce(&masked, 30));
+    }
+
+    #[test]
+    #[should_panic(expected = "splice point")]
+    fn splice_inside_the_fit_prefix_is_rejected() {
+        let block = blobs(40);
+        let mut sketch = ClusterSketch::build(&block, cfg(48, 6));
+        sketch.splice_assignments(10, Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "unsaturated fit prefix")]
+    fn splice_into_an_unsaturated_prefix_is_rejected() {
+        let block = blobs(10);
+        let mut sketch = ClusterSketch::build(&block, cfg(48, 6));
+        sketch.splice_assignments(30, Vec::new());
     }
 
     #[test]

@@ -45,9 +45,12 @@
 //!   dropped extractor ⇒ full rebuild from the store snapshot;
 //! * store entries whose video is not (yet) in the corpus stay pending and
 //!   are retried every sync;
-//! * the sketch survives only tail appends past its saturated fit prefix —
-//!   anything else discards it, and the next over-cap call refits from the
-//!   current rows (same result a fresh index would produce);
+//! * the sketch survives any ingest that leaves its saturated fit prefix
+//!   untouched — tail appends, and merge splices whose first inserted row
+//!   lands at or past the prefix (old rows carry their assignments, new rows
+//!   are assigned on arrival). An insertion inside the prefix, or growth of
+//!   an unsaturated prefix, discards it, and the next over-cap call refits
+//!   from the current rows (same result a fresh index would produce);
 //! * anchors ingest lazily (only coreset calls pay for them), but always
 //!   catch up to the full label list before selection.
 
@@ -75,6 +78,9 @@ pub struct AcquisitionIndexStats {
     pub anchors: usize,
     /// Whether a cluster sketch is currently alive.
     pub sketch_built: bool,
+    /// k-means fits the index has run over its lifetime (one per sketch
+    /// build); merges and appends that keep the sketch alive add none.
+    pub sketch_fits: usize,
 }
 
 /// One video's windows collected from the feature store, staged for ingest.
@@ -119,11 +125,13 @@ pub struct AcquisitionIndex {
     /// anchor exists).
     coverage: Vec<f32>,
     sketch: Option<ClusterSketch>,
+    /// Sketch fits so far (diagnostic; see [`AcquisitionIndexStats`]).
+    sketch_fits: usize,
     /// Row-identity epoch for positional caches layered on top of the index
     /// (the ALM's `ProbabilityCache` keys on it). Bumped whenever existing
-    /// rows may have moved or changed — [`Self::rebuild`] and the
-    /// [`Self::merge`] splice — but *not* on tail appends, whose cached
-    /// prefix rows stay positionally valid.
+    /// rows may have moved or changed — [`Self::rebuild`] and a
+    /// [`Self::splice`] that inserts before the tail — but *not* on tail
+    /// appends, whose cached prefix rows stay positionally valid.
     epoch: u64,
 }
 
@@ -150,6 +158,7 @@ impl AcquisitionIndex {
             anchors: FeatureBlock::empty(0),
             coverage: Vec::new(),
             sketch: None,
+            sketch_fits: 0,
             epoch: 0,
         }
     }
@@ -203,6 +212,7 @@ impl AcquisitionIndex {
             videos: self.video_count(),
             anchors: self.anchors.rows(),
             sketch_built: self.sketch.is_some(),
+            sketch_fits: self.sketch_fits,
         }
     }
 
@@ -317,10 +327,9 @@ impl AcquisitionIndex {
         })
     }
 
-    /// Ingests a batch of videos: tail-append when every new id sorts after
-    /// the existing ones (the common case — eager extraction walks the corpus
-    /// in order), one merge splice otherwise. Videos missing from the corpus
-    /// go to the pending list; already-ingested ids are skipped.
+    /// Ingests a batch of videos with one [`Self::splice`]. Videos missing
+    /// from the corpus go to the pending list; already-ingested ids are
+    /// skipped.
     fn ingest(
         &mut self,
         mut vids: Vec<VideoId>,
@@ -373,68 +382,57 @@ impl AcquisitionIndex {
             };
         }
 
-        let tail_append = self
+        self.splice(staged);
+    }
+
+    /// Splices staged videos into canonical order, in place: rows before
+    /// the first insertion point keep their data, cached norms and
+    /// `video_rows` entries; only the old rows past it (the suffix) move,
+    /// interleaved with the new videos in ascending id order. When every new
+    /// id sorts after the tail — the common case, eager extraction walks the
+    /// corpus in order — the suffix is empty and this is an O(Δ) append;
+    /// otherwise it costs O(suffix + Δ) copies. No distance work happens
+    /// beyond assigning the Δ new rows to sketch centroids: derived per-row
+    /// state (mask, coverage, sketch assignment) moves with its rows.
+    ///
+    /// The sketch survives when its fit prefix is saturated and the first
+    /// insertion lands at or past it (always so for an append): a fresh fit
+    /// over the spliced block would see the same prefix rows and produce the
+    /// same centroids. Otherwise — an insertion inside the prefix, or an
+    /// unsaturated prefix — it is dropped, and the next over-cap call refits
+    /// from the spliced rows.
+    fn splice(&mut self, staged: Vec<StagedVideo>) {
+        let old_rows = self.meta.len();
+        let kept_videos = self.video_order.partition_point(|&v| v < staged[0].vid);
+        let at = self
             .video_order
-            .last()
-            .is_none_or(|&last| last < staged[0].vid);
-        if tail_append {
-            self.append(staged);
-        } else {
-            self.merge(staged);
-        }
-    }
+            .get(kept_videos)
+            .map_or(old_rows, |vid| self.video_rows[vid].0);
 
-    /// O(Δ) append of videos that all sort after the current tail.
-    fn append(&mut self, staged: Vec<StagedVideo>) {
-        for item in staged {
-            let start = self.meta.len();
-            let rows = item.block.rows();
-            self.block.reserve_rows(rows);
-            for r in 0..rows {
-                self.block.push_row(item.block.row(r));
-                self.meta.push((item.vid, item.ranges[r]));
-            }
-            self.unmasked += item.masked.iter().filter(|&&m| !m).count();
-            self.masked.extend(item.masked);
-            self.coverage.extend(item.coverage);
-            self.video_rows.insert(item.vid, (start, rows));
-            self.video_order.push(item.vid);
-        }
-        // The sketch survives tail growth only when its fit prefix is
-        // saturated (a fresh fit over the grown index would use the same
-        // prefix rows); otherwise drop it so the next over-cap call refits.
-        if self
+        let mut sketch = self
             .sketch
-            .as_ref()
-            .is_some_and(|s| s.prefix_len() < self.sketch_config.prefix_rows)
-        {
-            self.sketch = None;
-        }
-    }
-
-    /// Merge splice for out-of-order video ids: rebuilds the row arrays once
-    /// by walking old and new videos in ascending id order (O(n + Δ) copies,
-    /// no distance work). Derived per-row state (mask, coverage) moves with
-    /// its rows, so nothing is recomputed.
-    fn merge(&mut self, staged: Vec<StagedVideo>) {
-        let dim = if self.block.dim() > 0 {
-            self.block.dim()
-        } else {
-            staged
-                .iter()
-                .find(|i| !i.block.is_empty())
-                .map_or(0, |i| i.block.dim())
+            .take()
+            .filter(|s| s.prefix_saturated() && at >= s.prefix_len());
+        // Old rows keep their assignments: catch up any rows appended since
+        // the last over-cap call so every old row has one to carry.
+        let old_tail: Vec<usize> = match sketch.as_mut() {
+            Some(s) => {
+                s.extend(&self.block);
+                s.assignments()[at..].to_vec()
+            }
+            None => Vec::new(),
         };
-        let added_rows: usize = staged.iter().map(|i| i.block.rows()).sum::<usize>();
-        let total_rows = self.meta.len() + added_rows;
-        let mut data: Vec<f32> = Vec::with_capacity(total_rows * dim);
-        let mut meta = Vec::with_capacity(total_rows);
-        let mut masked = Vec::with_capacity(total_rows);
-        let mut coverage = Vec::with_capacity(total_rows);
-        let mut video_rows = HashMap::with_capacity(self.video_order.len() + staged.len());
-        let mut video_order = Vec::with_capacity(self.video_order.len() + staged.len());
 
-        let mut old = self.video_order.iter().copied().peekable();
+        let suffix_block = self.block.split_off_rows(at);
+        let suffix_meta = self.meta.split_off(at);
+        let suffix_masked = self.masked.split_off(at);
+        let suffix_coverage = self.coverage.split_off(at);
+        let suffix_videos = self.video_order.split_off(kept_videos);
+        let added_rows: usize = staged.iter().map(|i| i.block.rows()).sum::<usize>();
+        self.block.reserve_rows(suffix_block.rows() + added_rows);
+        let mut new_tail = Vec::with_capacity(old_tail.len() + added_rows);
+
+        let mut old = suffix_videos.into_iter().peekable();
         let mut new = staged.into_iter().peekable();
         loop {
             let take_old = match (old.peek(), new.peek()) {
@@ -443,41 +441,47 @@ impl AcquisitionIndex {
                 (None, Some(_)) => false,
                 (None, None) => break,
             };
+            let start = self.meta.len();
             if take_old {
                 let vid = old.next().expect("peeked");
-                let (start, len) = self.video_rows[&vid];
-                data.extend_from_slice(&self.block.as_slice()[start * dim..(start + len) * dim]);
-                meta.extend_from_slice(&self.meta[start..start + len]);
-                masked.extend_from_slice(&self.masked[start..start + len]);
-                coverage.extend_from_slice(&self.coverage[start..start + len]);
-                video_rows.insert(vid, (meta.len() - len, len));
-                video_order.push(vid);
+                let (old_start, len) = self.video_rows[&vid];
+                let rows = old_start - at..old_start - at + len;
+                self.block.extend_from_block(&suffix_block, rows.clone());
+                self.meta.extend_from_slice(&suffix_meta[rows.clone()]);
+                self.masked.extend_from_slice(&suffix_masked[rows.clone()]);
+                self.coverage
+                    .extend_from_slice(&suffix_coverage[rows.clone()]);
+                if sketch.is_some() {
+                    new_tail.extend_from_slice(&old_tail[rows]);
+                }
+                self.video_rows.insert(vid, (start, len));
+                self.video_order.push(vid);
             } else {
                 let item = new.next().expect("peeked");
                 let len = item.block.rows();
-                data.extend_from_slice(item.block.as_slice());
-                for r in 0..len {
-                    meta.push((item.vid, item.ranges[r]));
+                self.block.extend_from_block(&item.block, 0..len);
+                self.meta
+                    .extend(item.ranges.iter().map(|&range| (item.vid, range)));
+                self.unmasked += item.masked.iter().filter(|&&m| !m).count();
+                self.masked.extend_from_slice(&item.masked);
+                self.coverage.extend_from_slice(&item.coverage);
+                if let Some(s) = &sketch {
+                    new_tail.extend(s.assign(&item.block));
                 }
-                masked.extend_from_slice(&item.masked);
-                coverage.extend_from_slice(&item.coverage);
-                video_rows.insert(item.vid, (meta.len() - len, len));
-                video_order.push(item.vid);
+                self.video_rows.insert(item.vid, (start, len));
+                self.video_order.push(item.vid);
             }
         }
 
-        self.block = FeatureBlock::from_vec(total_rows, dim, data);
-        self.unmasked = masked.iter().filter(|&&m| !m).count();
-        self.meta = meta;
-        self.masked = masked;
-        self.coverage = coverage;
-        self.video_rows = video_rows;
-        self.video_order = video_order;
-        // Row positions shifted: the sketch's positional assignments are
-        // void (the next over-cap call refits from the merged rows), and so
-        // are any positional caches keyed on the epoch.
-        self.sketch = None;
-        self.epoch += 1;
+        if let Some(s) = sketch.as_mut() {
+            s.splice_assignments(at, new_tail);
+        }
+        self.sketch = sketch;
+        if at < old_rows {
+            // Existing rows moved: positional caches keyed on the epoch are
+            // void.
+            self.epoch += 1;
+        }
     }
 
     /// Masks windows covered by label records not yet applied (O(Δlabels ·
@@ -569,11 +573,178 @@ impl AcquisitionIndex {
         }
         match &mut self.sketch {
             Some(sketch) => sketch.extend(&self.block),
-            None => self.sketch = Some(ClusterSketch::build(&self.block, self.sketch_config)),
+            None => {
+                self.sketch = Some(ClusterSketch::build(&self.block, self.sketch_config));
+                self.sketch_fits += 1;
+            }
         }
         self.sketch
             .as_ref()
             .expect("sketch just ensured")
             .reduce(&self.masked, self.candidate_cap)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ve_features::FeatureSimulator;
+    use ve_storage::{LabelRecord, StorageManager};
+    use ve_vidsim::{Dataset, DatasetName};
+
+    const EXTRACTOR: ExtractorId = ExtractorId::R3d;
+    const CLIP_LEN: f64 = 1.0;
+    const CAP: usize = 8;
+    /// Deer clips hold 10 one-second windows, so three in-order videos fill
+    /// this prefix.
+    const SKETCH: ClusterSketchConfig = ClusterSketchConfig {
+        prefix_rows: 30,
+        clusters: 4,
+        kmeans_iters: 2,
+    };
+
+    struct Fixture {
+        dataset: Dataset,
+        fm: FeatureManager,
+        labels: LabelStore,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            Self {
+                dataset: Dataset::scaled(DatasetName::Deer, 0.1, 11),
+                fm: FeatureManager::new(
+                    FeatureSimulator::new(DatasetName::Deer, 9, 11),
+                    StorageManager::new(),
+                ),
+                labels: LabelStore::new(),
+            }
+        }
+
+        /// Extracts the corpus videos at these positions (ids ascend with
+        /// position).
+        fn extract(&self, positions: impl IntoIterator<Item = usize>) {
+            let videos = self.dataset.train.videos();
+            for p in positions {
+                self.fm.ensure_clip(EXTRACTOR, &videos[p]).unwrap();
+            }
+        }
+
+        /// Labels the first window of the video at `position`.
+        fn label(&mut self, position: usize) {
+            self.labels.add(LabelRecord {
+                vid: self.dataset.train.videos()[position].id,
+                range: TimeRange::new(0.0, CLIP_LEN),
+                classes: vec![0],
+                iteration: 0,
+            });
+        }
+
+        fn index(&self, sketch: ClusterSketchConfig) -> AcquisitionIndex {
+            let mut index = AcquisitionIndex::new(EXTRACTOR, CLIP_LEN, CAP);
+            index.sketch_config = sketch;
+            self.sync(&mut index);
+            index
+        }
+
+        fn sync(&self, index: &mut AcquisitionIndex) {
+            index.sync(&self.fm, &self.dataset.train, &self.labels);
+            index.sync_anchors(&self.fm, &self.dataset.train, &self.labels);
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The incrementally grown index must hold exactly the state a fresh
+    /// index builds from the same inputs, sketch included.
+    fn assert_matches_fresh(fx: &Fixture, index: &mut AcquisitionIndex) {
+        let mut fresh = fx.index(index.sketch_config);
+        assert_eq!(index.block, fresh.block, "rows and cached norms");
+        assert_eq!(index.meta, fresh.meta);
+        assert_eq!(index.masked, fresh.masked);
+        assert_eq!(index.unmasked, fresh.unmasked);
+        assert_eq!(bits(&index.coverage), bits(&fresh.coverage));
+        assert_eq!(index.video_rows, fresh.video_rows);
+        assert_eq!(index.video_order, fresh.video_order);
+        assert_eq!(index.eligible_rows(), fresh.eligible_rows());
+        let sketch = index.sketch.as_ref().expect("over-cap call sketches");
+        let rebuilt = ClusterSketch::build(&index.block, index.sketch_config);
+        assert_eq!(sketch.assignments(), rebuilt.assignments());
+        assert_eq!(
+            sketch.reduce(&index.masked, CAP),
+            rebuilt.reduce(&index.masked, CAP)
+        );
+    }
+
+    #[test]
+    fn merges_past_a_saturated_prefix_keep_the_sketch() {
+        let mut fx = Fixture::new();
+        let last = fx.dataset.train.videos().len() - 1;
+        // Labeled videos sit ahead of an in-order eager frontier.
+        fx.extract([last - 3, last - 2]);
+        fx.label(last - 3);
+        fx.label(last - 2);
+        fx.extract(0..4);
+        let mut index = fx.index(SKETCH);
+        assert!(index.rows() > SKETCH.prefix_rows);
+        assert!(!index.eligible_rows().is_empty());
+        assert_eq!(index.stats().sketch_fits, 1);
+        assert!(index.sketch.as_ref().unwrap().prefix_saturated());
+
+        let mut frontier = 4;
+        for step in 0..4 {
+            // Each round the frontier lands before the labeled tail (a merge
+            // splice past the prefix); odd rounds also grow the tail (an
+            // append whose rows stay unassigned until the next merge).
+            let epoch = index.epoch();
+            fx.extract(frontier..frontier + 2);
+            frontier += 2;
+            if step % 2 == 1 {
+                fx.extract([last - 1 + step / 2]);
+            }
+            fx.label(frontier - 1);
+            fx.sync(&mut index);
+            assert!(index.epoch() > epoch, "a merge bumps the epoch");
+            assert!(index.stats().sketch_built, "the sketch survives");
+            assert_matches_fresh(&fx, &mut index);
+        }
+        assert_eq!(index.stats().sketch_fits, 1, "one fit across all merges");
+    }
+
+    #[test]
+    fn insertion_inside_the_prefix_refits() {
+        let fx = Fixture::new();
+        fx.extract(2..8);
+        let mut index = fx.index(SKETCH);
+        index.eligible_rows();
+        assert!(index.sketch.as_ref().unwrap().prefix_saturated());
+        fx.extract([0]);
+        fx.sync(&mut index);
+        assert!(!index.stats().sketch_built, "prefix rows moved");
+        assert_matches_fresh(&fx, &mut index);
+        assert_eq!(index.stats().sketch_fits, 2);
+    }
+
+    #[test]
+    fn merge_into_an_unsaturated_prefix_refits() {
+        let fx = Fixture::new();
+        let wide = ClusterSketchConfig {
+            prefix_rows: 1_000,
+            ..SKETCH
+        };
+        fx.extract([0, 1, 5]);
+        let mut index = fx.index(wide);
+        index.eligible_rows();
+        assert!(!index.sketch.as_ref().unwrap().prefix_saturated());
+        fx.extract([3]);
+        fx.sync(&mut index);
+        assert!(
+            !index.stats().sketch_built,
+            "a fresh fit would see more rows"
+        );
+        assert_matches_fresh(&fx, &mut index);
+        assert_eq!(index.stats().sketch_fits, 2);
     }
 }

@@ -402,3 +402,86 @@ fn prob_cache_hits_between_trains_and_invalidates_on_retrain() {
     assert!(after.invalidations > warm.invalidations, "version bump");
     assert!(after.miss_rows > warm.miss_rows, "rows recomputed");
 }
+
+/// The sketch-survival path at the default 1,024-row fit prefix, which the
+/// 0.1-scale interleavings above never saturate. Labeled videos sit ahead of
+/// an in-order eager frontier (as under `VE-full`, where training extracts
+/// labeled videos before the frontier reaches them), so every frontier
+/// ingest is a merge splice past the saturated prefix. The index must fit
+/// k-means once, keep the sketch across every merge, and still pick exactly
+/// what a from-scratch ALM picks.
+#[test]
+fn eager_frontier_merges_past_a_saturated_prefix_match_from_scratch() {
+    // 179 ten-window videos: enough rows to saturate the prefix.
+    let dataset = Dataset::scaled(DatasetName::Deer, 0.2, 5);
+    for kind in [AcquisitionKind::Coreset, AcquisitionKind::ClusterMargin] {
+        let cfg = VocalExploreConfig::for_dataset(&dataset, 5)
+            .with_sampling(SamplingPolicy::Fixed(kind))
+            .with_feature_selection(FeatureSelectionPolicy::Fixed(EXTRACTOR))
+            .with_extra_candidates(0)
+            .with_candidate_cap(CAP);
+        let fm = FeatureManager::new(
+            FeatureSimulator::new(DatasetName::Deer, cfg.num_classes, 5),
+            StorageManager::new(),
+        );
+        let mm = ModelManager::new(cfg.clone());
+        let mut labels = LabelStore::new();
+        let oracle = GroundTruthOracle::new(TaskKind::SingleLabel);
+        let mut incremental = ActiveLearningManager::new(cfg.clone());
+        let videos = dataset.train.videos();
+
+        let label_window = |labels: &mut LabelStore, vid: VideoId, range: TimeRange| {
+            labels.add(LabelRecord {
+                vid,
+                range,
+                classes: oracle.label(&dataset.train, vid, &range),
+                iteration: 0,
+            });
+        };
+        for clip in &videos[videos.len() - 8..] {
+            fm.ensure_clip(EXTRACTOR, clip).unwrap();
+            label_window(&mut labels, clip.id, TimeRange::new(0.0, CLIP_LEN));
+        }
+        let mut frontier = 0;
+        let merges = 5;
+        for round in 0..=merges {
+            let step = if round == 0 { 110 } else { 4 };
+            for clip in &videos[frontier..frontier + step] {
+                fm.ensure_clip(EXTRACTOR, clip).unwrap();
+            }
+            frontier += step;
+            mm.train(EXTRACTOR, &dataset.train, &fm, labels.records(), 0, None)
+                .unwrap();
+
+            let (picks, stats) = incremental.select_segments(
+                &dataset.train,
+                &fm,
+                &mm,
+                &labels,
+                BUDGET,
+                CLIP_LEN,
+                None,
+            );
+            let mut fresh = ActiveLearningManager::new(cfg.clone().with_prob_cache(false));
+            let (fresh_picks, fresh_stats) =
+                fresh.select_segments(&dataset.train, &fm, &mm, &labels, BUDGET, CLIP_LEN, None);
+            assert_eq!(
+                picks, fresh_picks,
+                "picks diverged at round {round} ({kind:?})"
+            );
+            assert_eq!(
+                stats, fresh_stats,
+                "stats diverged at round {round} ({kind:?})"
+            );
+            assert_eq!(stats.acquisition, kind, "active path must not fall back");
+
+            let index = incremental.index_stats().expect("active selection");
+            assert!(index.rows > 1_024, "the fit prefix is saturated");
+            assert!(index.sketch_built);
+            assert_eq!(index.sketch_fits, 1, "round {round} refitted ({kind:?})");
+            for (vid, range) in picks {
+                label_window(&mut labels, vid, range);
+            }
+        }
+    }
+}

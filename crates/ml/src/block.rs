@@ -134,6 +134,29 @@ impl FeatureBlock {
         self.sq_norms.reserve(additional);
     }
 
+    /// Appends copies of `other`'s rows in `rows` together with their cached
+    /// norms (no norm is recomputed). Together with [`Self::split_off_rows`]
+    /// this splices rows into a long-lived block in place.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds or, for a non-empty range, if
+    /// the dimensionalities differ.
+    pub fn extend_from_block(&mut self, other: &FeatureBlock, rows: std::ops::Range<usize>) {
+        self.data.extend_from_rows(&other.data, rows.clone());
+        self.sq_norms.extend_from_slice(&other.sq_norms[rows]);
+    }
+
+    /// Splits off rows `at..` (with their cached norms) into a new block,
+    /// keeping rows `..at` in place.
+    ///
+    /// # Panics
+    /// Panics if `at > rows`.
+    pub fn split_off_rows(&mut self, at: usize) -> FeatureBlock {
+        let data = self.data.split_off_rows(at);
+        let sq_norms = self.sq_norms.split_off(at);
+        Self { data, sq_norms }
+    }
+
     /// Copies the selected rows into a new block (row `k` of the result is
     /// `self.row(idx[k])`).
     ///
@@ -678,6 +701,26 @@ mod tests {
         // Pushed rows behave exactly like built rows in the kernels.
         let rebuilt = FeatureBlock::from_nested(&[vec![1.0, 2.0, 2.0], vec![0.0, 3.0, 4.0]]);
         assert_eq!(block, rebuilt);
+    }
+
+    #[test]
+    fn split_off_and_extend_splice_rows_with_cached_norms() {
+        let (_, block) = random_block(10, 4, 3);
+        let mut spliced = block.clone();
+        let tail = spliced.split_off_rows(6);
+        assert_eq!((spliced.rows(), tail.rows()), (6, 4));
+        let (_, extra) = random_block(3, 4, 4);
+        spliced.extend_from_block(&extra, 1..3);
+        spliced.extend_from_block(&tail, 0..tail.rows());
+        spliced.extend_from_block(&FeatureBlock::empty(0), 0..0);
+        let mut expected = FeatureBlock::empty(4);
+        let order = [(&block, 0..6), (&extra, 1..3), (&block, 6..10)];
+        for (source, rows) in order {
+            for r in rows {
+                expected.push_row(source.row(r));
+            }
+        }
+        assert_eq!(spliced, expected, "data and cached norms match a rebuild");
     }
 
     #[test]

@@ -100,6 +100,35 @@ impl Matrix {
         self.data.reserve(additional * self.cols);
     }
 
+    /// Appends copies of `other`'s rows in `rows`.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds or, for a non-empty range, if
+    /// the column counts differ.
+    pub fn extend_from_rows(&mut self, other: &Matrix, rows: std::ops::Range<usize>) {
+        assert!(rows.end <= other.rows, "row range out of bounds");
+        if rows.is_empty() {
+            return;
+        }
+        assert_eq!(other.cols, self.cols, "row length does not match columns");
+        self.data
+            .extend_from_slice(&other.data[rows.start * self.cols..rows.end * self.cols]);
+        self.rows += rows.len();
+    }
+
+    /// Splits off rows `at..` into a new matrix, keeping rows `..at` (and
+    /// the allocation) in place.
+    ///
+    /// # Panics
+    /// Panics if `at > rows`.
+    pub fn split_off_rows(&mut self, at: usize) -> Matrix {
+        assert!(at <= self.rows, "split point past the last row");
+        let tail = self.data.split_off(at * self.cols);
+        let tail_rows = self.rows - at;
+        self.rows = at;
+        Matrix::from_vec(tail_rows, self.cols, tail)
+    }
+
     /// Flat row-major data.
     pub fn as_slice(&self) -> &[f32] {
         &self.data

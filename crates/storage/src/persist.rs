@@ -22,6 +22,8 @@ use ve_vidsim::{TimeRange, VideoId};
 
 const MAGIC: &[u8; 4] = b"VESM";
 const VERSION: u8 = 1;
+/// Smallest encoding of one feature vector: `start f64 | end f64 | u32 len`.
+const MIN_VECTOR_BYTES: usize = 20;
 
 /// Encodes the three stores into a snapshot buffer.
 pub fn encode_snapshot(
@@ -161,7 +163,12 @@ pub fn decode_snapshot(
         let extractor = ExtractorId::from_index(eidx);
         let vid = VideoId(r.get_u64()?);
         let n_vectors = r.get_u32()?;
-        let mut vectors = Vec::with_capacity(n_vectors as usize);
+        // The count is untrusted: clamp the reservation by the bytes left
+        // (each vector takes at least 20: two f64 bounds + a u32 length), so
+        // a corrupt count fails on the short read instead of aborting the
+        // process on a huge allocation.
+        let mut vectors =
+            Vec::with_capacity((n_vectors as usize).min(r.remaining() / MIN_VECTOR_BYTES + 1));
         for _ in 0..n_vectors {
             let start = r.get_f64()?;
             let end = r.get_f64()?;
