@@ -40,6 +40,7 @@ use crate::harness::{eager_video_budget, iteration_costs_for_call, SessionConfig
 use crate::model_manager::InferenceError;
 use crate::observability::SessionEvent;
 use crate::system::VocalExplore;
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ve_al::AcquisitionKind;
@@ -47,6 +48,7 @@ use ve_features::ExtractorId;
 use ve_obs::{PhaseTiming, TaskLabel, TaskTiming};
 use ve_sched::{
     iteration_latency, Executor, ExecutorStats, Priority, RetryPolicy, SchedulerStrategy,
+    TaskFailure, TaskSpec,
 };
 use ve_storage::LabelRecord;
 use ve_vidsim::{Dataset, GroundTruthOracle, NoisyOracle, Oracle, VideoId};
@@ -299,10 +301,13 @@ impl AsyncSessionRunner {
                     .map(|&(vid, range)| {
                         let (mm, fm, corpus) =
                             (Arc::clone(&mm), Arc::clone(&fm), Arc::clone(&corpus));
-                        executor.submit_with_handle_labeled(
-                            Priority::Critical,
-                            TaskLabel::new("infer", iteration as u32),
-                            move || {
+                        executor.submit(
+                            TaskSpec {
+                                priority: Priority::Critical,
+                                label: TaskLabel::new("infer", iteration as u32),
+                                retry: RetryPolicy::none(),
+                            },
+                            move |_| {
                                 sleep_scaled(infer_secs, scale);
                                 mm.predict(extractor, &corpus, &fm, vid, &range)
                             },
@@ -311,7 +316,11 @@ impl AsyncSessionRunner {
                     .collect();
                 let joined: Vec<Result<Vec<crate::api::Prediction>, InferenceError>> = handles
                     .into_iter()
-                    .map(|h| h.join().expect("inference task must not panic"))
+                    .map(|h| match h.join() {
+                        Ok(predictions) => Ok(predictions),
+                        Err(TaskFailure::Failed(err)) => Err(err),
+                        Err(failure) => panic!("inference task must not panic: {failure}"),
+                    })
                     .collect();
                 // Degraded serving, mirroring the synchronous facade: the
                 // first failed segment (by submission order) drops the whole
@@ -390,10 +399,13 @@ impl AsyncSessionRunner {
                 .map(|vid| {
                     let extractors = active.clone();
                     let (fm, corpus) = (Arc::clone(&fm), Arc::clone(&corpus));
-                    executor.submit_with_handle_labeled(
-                        Priority::Background,
-                        TaskLabel::new("eager", iteration as u32),
-                        move || {
+                    executor.submit(
+                        TaskSpec {
+                            priority: Priority::Background,
+                            label: TaskLabel::new("eager", iteration as u32),
+                            retry: RetryPolicy::none(),
+                        },
+                        move |_| {
                             // Per-video give-up list: a permanently failed
                             // extraction leaves the video pending, the rest of
                             // the round proceeds.
@@ -405,7 +417,7 @@ impl AsyncSessionRunner {
                                     }
                                 }
                             }
-                            (vid, gave_up)
+                            Ok::<_, Infallible>((vid, gave_up))
                         },
                     )
                 })
@@ -561,13 +573,18 @@ impl AsyncSessionRunner {
                     Arc::clone(corpus),
                     Arc::clone(&labels),
                 );
-                executor.submit_with_handle_labeled(
-                    Priority::Normal,
-                    TaskLabel::new("eval", iteration as u32),
-                    move || {
+                executor.submit(
+                    TaskSpec {
+                        priority: Priority::Normal,
+                        label: TaskLabel::new("eval", iteration as u32),
+                        retry: RetryPolicy::none(),
+                    },
+                    move |_| {
                         sleep_scaled(eval_secs, scale);
-                        mm.evaluate_cv(extractor, &corpus, &fm, &labels)
-                            .map(|score| (extractor, score))
+                        Ok::<_, Infallible>(
+                            mm.evaluate_cv(extractor, &corpus, &fm, &labels)
+                                .map(|score| (extractor, score)),
+                        )
                     },
                 )
             })
@@ -593,32 +610,31 @@ impl AsyncSessionRunner {
             );
             // Backoff between attempts is virtual time scaled by the same
             // `time_scale` as every other modeled cost.
-            let policy = RetryPolicy {
-                time_scale: scale,
-                ..self.config.system.retry
-            };
-            let handle = executor.submit_retryable_labeled(
-                Priority::Normal,
-                TaskLabel::new("train", iteration as u32),
-                policy,
-                move |attempt| {
-                    sleep_scaled(train_secs, scale);
-                    mm.train_attempt(
-                        extractor,
-                        &corpus,
-                        &fm,
-                        &labels_arc,
-                        iteration as u32,
-                        cv,
-                        attempt,
-                    )
+            let spec = TaskSpec {
+                priority: Priority::Normal,
+                label: TaskLabel::new("train", iteration as u32),
+                retry: RetryPolicy {
+                    time_scale: scale,
+                    ..self.config.system.retry
                 },
-            );
+            };
+            let handle = executor.submit(spec, move |attempt| {
+                sleep_scaled(train_secs, scale);
+                mm.train_attempt(
+                    extractor,
+                    &corpus,
+                    &fm,
+                    &labels_arc,
+                    iteration as u32,
+                    cv,
+                    attempt,
+                )
+            });
             // The join blocks the session thread, but all of this happens
             // inside the labeling window — the executor trains while the
             // simulated user labels, and any excess is absorbed by the
             // boundary barrier, never by the next API call.
-            match handle.join_task() {
+            match handle.join() {
                 Ok(true) => *labels_at_last_training = labels.len(),
                 Ok(false) => {}
                 // A failed train keeps serving the previous model version —

@@ -2,18 +2,18 @@
 //! `ve_sched::Executor`.
 //!
 //! **Contract.** Executor tasks run on worker threads behind
-//! `catch_unwind`; a panic there marks the task failed and (PR 2) keeps the
-//! counters consistent — but the *work is silently lost* and, for
-//! `submit_with_handle`, the panic re-raises on the joining thread far from
-//! its cause. Task closures must surface failure as typed errors through
-//! `TaskHandle`, so every `unwrap`/`expect`/`panic!` reachable from a submit
-//! site is a latent dropped-iteration bug.
+//! `catch_unwind`; a panic there marks the task failed and keeps the
+//! counters consistent — but the *work is silently lost*, is never retried,
+//! and reaches the joining thread only as `TaskFailure::Panicked`, far from
+//! its cause. Task closures must surface failure as typed errors (`Err`)
+//! through `TaskHandle`, so every `unwrap`/`expect`/`panic!` reachable from
+//! a submit site is a latent dropped-iteration bug.
 //!
-//! **Analysis.** Roots are the argument spans of `.submit(…)` /
-//! `.submit_with_handle(…)`. The direct closure text is scanned for panic
-//! markers and slice indexing; calls out of the closure are resolved through
-//! a workspace-wide `fn`-name index (same-crate definitions preferred) and
-//! traversed to a fixed depth. Name-based resolution overshoots homonyms, so
+//! **Analysis.** Roots are the argument spans of `.submit(…)`, the
+//! executor's one submission call. The direct closure text is scanned for
+//! panic markers and slice indexing; calls out of the closure are resolved
+//! through a workspace-wide `fn`-name index (same-crate definitions
+//! preferred) and traversed to a fixed depth. Name-based resolution overshoots homonyms, so
 //! common std method names are stoplisted and slice indexing is only checked
 //! in the direct closure, where there is no ambiguity about what runs.
 
@@ -238,10 +238,7 @@ pub fn check(ws: &WorkspaceModel) -> Vec<Finding> {
 
     for (fi, file) in ws.files.iter().enumerate() {
         for ci in 0..file.code.len() {
-            let submit = ["submit", "submit_with_handle"]
-                .iter()
-                .find_map(|m| method_call(file, ci, m).map(|open| (*m, open)));
-            let Some((method, open)) = submit else {
+            let Some(open) = method_call(file, ci, "submit") else {
                 continue;
             };
             let root_tok = file.ct(ci + 1).expect("pattern matched");
@@ -297,7 +294,7 @@ pub fn check(ws: &WorkspaceModel) -> Vec<Finding> {
                     m.line,
                     m.col,
                     format!(
-                        "{} reachable from executor `.{method}(…)` at {root}: task \
+                        "{} reachable from executor `.submit(…)` at {root}: task \
                          closures run behind `catch_unwind` — a panic here silently drops \
                          the task's work; surface failure as a typed error through \
                          `TaskHandle` instead",

@@ -305,7 +305,7 @@ fn wall_clock_suppressible_with_reason() {
 #[test]
 fn panic_path_fires_on_unwrap_in_submitted_closure() {
     let src = "fn go(ex: &Executor) {\n\
-                   ex.submit(Priority::Normal, move || {\n\
+                   ex.submit(TaskSpec::new(Priority::Normal), move |_| {\n\
                        let v = compute().unwrap();\n\
                        store(v);\n\
                    });\n\
@@ -317,12 +317,38 @@ fn panic_path_fires_on_unwrap_in_submitted_closure() {
 }
 
 #[test]
+fn panic_path_fires_on_unwrap_reached_from_a_retrying_spec_closure() {
+    let src = "fn attempt_once(attempt: u32) -> Result<u64, String> {\n\
+                   Ok(lookup(attempt).unwrap())\n\
+               }\n\
+               fn go(ex: &Executor) {\n\
+                   let handle = ex.submit(\n\
+                       TaskSpec {\n\
+                           priority: Priority::Normal,\n\
+                           label: TaskLabel::new(\"train\", 1),\n\
+                           retry: RetryPolicy::new(3, 0.0, 2.0),\n\
+                       },\n\
+                       move |attempt| attempt_once(attempt),\n\
+                   );\n\
+                   handle.join().ok();\n\
+               }\n";
+    let report = run(&[("vocalexplore", "src/fx.rs", src)]);
+    assert_eq!(active_rules(&report), ["panic-in-task-path"]);
+    assert_eq!(report.active[0].line, 2, "marker is at the callee's unwrap");
+    assert!(
+        report.active[0].message.contains("via `attempt_once`"),
+        "{}",
+        report.active[0].message
+    );
+}
+
+#[test]
 fn panic_path_follows_calls_out_of_the_closure() {
     let src = "fn helper(x: Option<u64>) -> u64 {\n\
                    x.expect(\"x must be set\")\n\
                }\n\
                fn go(ex: &Executor) {\n\
-                   ex.submit_with_handle(Priority::Normal, move || helper(input()));\n\
+                   ex.submit(TaskSpec::new(Priority::Normal), move |_| helper(input()));\n\
                }\n";
     let report = run(&[("vocalexplore", "src/fx.rs", src)]);
     assert_eq!(active_rules(&report), ["panic-in-task-path"]);
@@ -337,7 +363,7 @@ fn panic_path_follows_calls_out_of_the_closure() {
 #[test]
 fn panic_path_flags_slice_indexing_in_direct_closure() {
     let src = "fn go(ex: &Executor, xs: Vec<f64>) {\n\
-                   ex.submit(Priority::Normal, move || {\n\
+                   ex.submit(TaskSpec::new(Priority::Normal), move |_| {\n\
                        let first = xs[0];\n\
                        store(first);\n\
                    });\n\
@@ -350,7 +376,7 @@ fn panic_path_flags_slice_indexing_in_direct_closure() {
 #[test]
 fn panic_path_fires_on_panic_macro() {
     let src = "fn go(ex: &Executor) {\n\
-                   ex.submit(Priority::Normal, || panic!(\"boom\"));\n\
+                   ex.submit(TaskSpec::new(Priority::Normal), |_| panic!(\"boom\"));\n\
                }\n";
     let report = run(&[("vocalexplore", "src/fx.rs", src)]);
     assert_eq!(active_rules(&report), ["panic-in-task-path"]);
@@ -360,7 +386,7 @@ fn panic_path_fires_on_panic_macro() {
 #[test]
 fn panic_path_silent_for_panic_free_closure_and_test_code() {
     let src = "fn go(ex: &Executor) {\n\
-                   ex.submit(Priority::Normal, move || {\n\
+                   ex.submit(TaskSpec::new(Priority::Normal), move |_| {\n\
                        if let Some(v) = compute() {\n\
                            store(v);\n\
                        }\n\
@@ -369,7 +395,7 @@ fn panic_path_silent_for_panic_free_closure_and_test_code() {
                #[cfg(test)]\n\
                mod tests {\n\
                    fn t(ex: &Executor) {\n\
-                       ex.submit(Priority::Normal, || panic!(\"fine in tests\"));\n\
+                       ex.submit(TaskSpec::new(Priority::Normal), |_| panic!(\"fine in tests\"));\n\
                    }\n\
                }\n";
     let report = run(&[("vocalexplore", "src/fx.rs", src)]);
@@ -379,7 +405,7 @@ fn panic_path_silent_for_panic_free_closure_and_test_code() {
 #[test]
 fn panic_path_suppressible_at_the_marker_line() {
     let src = "fn go(ex: &Executor) {\n\
-                   ex.submit(Priority::Normal, move || {\n\
+                   ex.submit(TaskSpec::new(Priority::Normal), move |_| {\n\
                        // ve-lint: allow(panic-in-task-path) -- invariant: compute is total here\n\
                        let v = compute().unwrap();\n\
                        store(v);\n\

@@ -26,7 +26,7 @@ impl TaskLabel {
         Self { kind, iteration }
     }
 
-    /// Label for legacy submission paths that do not tag their work.
+    /// Label for jobs submitted without a phase tag.
     pub const fn unlabeled() -> Self {
         Self::new("task", 0)
     }

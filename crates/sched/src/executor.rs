@@ -1,15 +1,20 @@
-//! A small priority-aware worker pool for running real (in-process) tasks.
+//! The Task Scheduler's priority pool (Section 4 of the technical report).
 //!
 //! The paper's prototype runs feature extraction, training, and evaluation on
 //! a limited pool of compute resources ("only a subset of submitted tasks can
 //! execute at once"). This executor reproduces that constraint with a fixed
-//! number of worker threads pulling closures from a shared priority queue:
-//! critical work always runs before normal work, which runs before
-//! background (eager) work.
+//! number of worker threads pulling jobs from one priority pool: critical
+//! work (`T_i`) always runs before normal work (`T_m`, `T_e`), which runs
+//! before background work (eager `T_f⁻`).
 //!
-//! The executor is the engine behind the async session path in `ve-core`:
-//! `Explore` submits training, evaluation, and eager-extraction closures here
-//! and measures visible latency from their actual completion times.
+//! Every job enters through [`Executor::submit`], which takes a [`TaskSpec`]
+//! (priority, timing-plane label, [`RetryPolicy`]) and a fallible closure of
+//! the attempt index, and returns a [`TaskHandle`]. One worker-side wrapper
+//! runs the attempts, catches panics, and fills the handle; a job that needs
+//! no retries uses [`RetryPolicy::none`]. The executor is the engine behind
+//! the async session path in `ve-core`: `Explore` submits inference,
+//! training, evaluation, and eager-extraction jobs here and measures visible
+//! latency from their actual completion times.
 //!
 //! # Counter semantics
 //!
@@ -22,10 +27,12 @@
 //! * `completed` counts every job that finished running, **including jobs
 //!   that panicked**; `failed` counts the panicked subset. A panicking job
 //!   therefore never wedges [`Executor::wait_idle`].
+//! * `retried` counts every re-run attempt and `gave_up` every job that
+//!   exhausted a multi-attempt budget. All attempts of a job run inside one
+//!   executor job, so the job is submitted, completed and timed once.
 //! * Workers mark themselves in-flight while holding the lock as they pop,
 //!   so "queues empty" and "nothing running" are checked atomically.
 
-use crate::task::Priority;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,27 +41,62 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use ve_obs::timing::{QueueClass, TaskLabel, TaskTiming, TimingPlane};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// Scheduling priority. Lower ordinal = runs first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Priority {
+    /// Blocks an API response (`T_i` for the current call).
+    Critical,
+    /// Asynchronous but time-sensitive (`T_m`, `T_e`).
+    Normal,
+    /// Opportunistic background work (`T_f⁻`); always yields to other tasks.
+    Background,
+}
 
-/// A queued closure plus the metadata the timing plane needs to attribute
-/// it: the deterministic span id (submission counter), the submitter's
-/// label, and when it entered the queue.
+impl Priority {
+    /// This priority rendered into `ve-obs`'s scheduler-agnostic queue
+    /// classes (`ve-obs` sits below `ve-sched` in the dependency graph).
+    fn queue_class(self) -> QueueClass {
+        match self {
+            Priority::Critical => QueueClass::Critical,
+            Priority::Normal => QueueClass::Normal,
+            Priority::Background => QueueClass::Background,
+        }
+    }
+}
+
+/// How a submitted job is scheduled: its priority class, the timing-plane
+/// label attributing it to a session phase and iteration, and its retry
+/// budget.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TaskSpec {
+    /// Queue the job waits in.
+    pub priority: Priority,
+    /// Timing-plane attribution; the whole retry sequence is one span.
+    pub label: TaskLabel,
+    /// Attempts and backoff for failed (`Err`) attempts.
+    pub retry: RetryPolicy,
+}
+
+impl TaskSpec {
+    /// An unlabeled, single-attempt job at `priority`.
+    pub fn new(priority: Priority) -> Self {
+        Self {
+            priority,
+            label: TaskLabel::unlabeled(),
+            retry: RetryPolicy::none(),
+        }
+    }
+}
+
+/// A queued job (it reports whether it panicked) plus the metadata the
+/// timing plane needs to attribute it: the deterministic span id (submission
+/// counter), the submitter's label, and when it entered the queue.
 struct QueuedJob {
-    job: Job,
+    job: Box<dyn FnOnce(&Inner) -> bool + Send + 'static>,
     span: u64,
     label: TaskLabel,
     class: QueueClass,
     submit_us: u64,
-}
-
-/// The executor's `Priority` rendered into `ve-obs`'s scheduler-agnostic
-/// queue classes (`ve-obs` sits below `ve-sched` in the dependency graph).
-pub fn queue_class(priority: Priority) -> QueueClass {
-    match priority {
-        Priority::Critical => QueueClass::Critical,
-        Priority::Normal => QueueClass::Normal,
-        Priority::Background => QueueClass::Background,
-    }
 }
 
 #[derive(Default)]
@@ -78,21 +120,14 @@ struct State {
 
 impl State {
     fn push(&mut self, priority: Priority, job: QueuedJob) {
-        let depth = match priority {
-            Priority::Critical => {
-                self.critical.push_back(job);
-                self.critical.len()
-            }
-            Priority::Normal => {
-                self.normal.push_back(job);
-                self.normal.len()
-            }
-            Priority::Background => {
-                self.background.push_back(job);
-                self.background.len()
-            }
-        } as u64;
-        let slot = &mut self.depth_hwm[queue_class(priority).index()];
+        let queue = match priority {
+            Priority::Critical => &mut self.critical,
+            Priority::Normal => &mut self.normal,
+            Priority::Background => &mut self.background,
+        };
+        queue.push_back(job);
+        let depth = queue.len() as u64;
+        let slot = &mut self.depth_hwm[priority.queue_class().index()];
         if *slot < depth {
             *slot = depth;
         }
@@ -136,10 +171,10 @@ pub struct ExecutorStats {
     pub completed: u64,
     /// Jobs that panicked while running (a subset of `completed`).
     pub failed: u64,
-    /// Failed attempts that were retried inside retryable jobs (see
-    /// [`Executor::submit_retryable`]); one increment per re-run attempt.
+    /// Failed attempts that were retried under a job's [`RetryPolicy`]; one
+    /// increment per re-run attempt.
     pub retried: u64,
-    /// Retryable jobs that exhausted their [`RetryPolicy`] budget.
+    /// Jobs that exhausted a multi-attempt [`RetryPolicy`] budget.
     pub gave_up: u64,
     /// Cumulative wall microseconds jobs spent queued before starting.
     /// Timing-plane data: varies run to run and must never feed logic or
@@ -191,36 +226,21 @@ impl ExecutorStats {
     }
 }
 
-/// Error returned by [`TaskHandle::join`] when the job panicked.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobPanicked {
-    /// The panic payload rendered as a string (when it was a `&str`/`String`).
-    pub message: String,
-}
-
-impl std::fmt::Display for JobPanicked {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "executor job panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for JobPanicked {}
-
-struct HandleShared<T> {
-    result: Mutex<Option<Result<T, JobPanicked>>>,
+struct HandleShared<T, E> {
+    result: Mutex<Option<Result<T, TaskFailure<E>>>>,
     done: Condvar,
 }
 
-/// Handle to a job submitted with [`Executor::submit_with_handle`]; resolves
-/// to the closure's return value (or the panic that killed it).
-pub struct TaskHandle<T> {
-    shared: Arc<HandleShared<T>>,
+/// Handle to a submitted job; resolves to the job's value or the
+/// [`TaskFailure`] that ended it.
+pub struct TaskHandle<T, E> {
+    shared: Arc<HandleShared<T, E>>,
 }
 
-impl<T> TaskHandle<T> {
+impl<T, E> TaskHandle<T, E> {
     /// Blocks until the job has run and returns its result. A panicking job
-    /// yields `Err(JobPanicked)` instead of wedging the caller.
-    pub fn join(self) -> Result<T, JobPanicked> {
+    /// yields `Err(TaskFailure::Panicked)` instead of wedging the caller.
+    pub fn join(self) -> Result<T, TaskFailure<E>> {
         let mut slot = self.shared.result.lock();
         loop {
             if let Some(result) = slot.take() {
@@ -228,17 +248,6 @@ impl<T> TaskHandle<T> {
             }
             self.shared.done.wait(&mut slot);
         }
-    }
-
-    /// Non-blocking variant of [`TaskHandle::join`]: returns `None` while the
-    /// job has not finished yet.
-    pub fn try_join(&self) -> Option<Result<T, JobPanicked>> {
-        self.shared.result.lock().take()
-    }
-
-    /// Whether the job has finished (its result may already have been taken).
-    pub fn is_finished(&self) -> bool {
-        self.shared.result.lock().is_some()
     }
 }
 
@@ -310,13 +319,16 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Why a retryable job (see [`Executor::submit_retryable`]) did not produce a
-/// value.
+/// Why a job did not produce a value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TaskFailure<E> {
     /// The job panicked; panics are bugs, not transient faults, so they are
     /// never retried.
-    Panicked(JobPanicked),
+    Panicked {
+        /// The panic payload rendered as a string (when it was a
+        /// `&str`/`String`).
+        message: String,
+    },
     /// The job failed on its only allowed attempt (`max_attempts == 1`).
     Failed(E),
     /// The job failed on every attempt and exhausted its retry budget.
@@ -331,7 +343,7 @@ pub enum TaskFailure<E> {
 impl<E: std::fmt::Display> std::fmt::Display for TaskFailure<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TaskFailure::Panicked(p) => write!(f, "{p}"),
+            TaskFailure::Panicked { message } => write!(f, "executor job panicked: {message}"),
             TaskFailure::Failed(e) => write!(f, "task failed: {e}"),
             TaskFailure::GaveUp { attempts, error } => {
                 write!(f, "task gave up after {attempts} attempts: {error}")
@@ -342,17 +354,6 @@ impl<E: std::fmt::Display> std::fmt::Display for TaskFailure<E> {
 
 impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for TaskFailure<E> {}
 
-impl<T, E> TaskHandle<Result<T, TaskFailure<E>>> {
-    /// Joins a retryable task: panics, typed failures, and give-ups all
-    /// arrive as [`TaskFailure`] instead of a bare [`JobPanicked`].
-    pub fn join_task(self) -> Result<T, TaskFailure<E>> {
-        match self.join() {
-            Ok(inner) => inner,
-            Err(panicked) => Err(TaskFailure::Panicked(panicked)),
-        }
-    }
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -360,6 +361,47 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+/// Runs `job`'s attempts under `retry` on the worker thread: the closure
+/// receives the 0-based attempt index, failed attempts back off for a
+/// deterministic virtual-time delay (scaled by the policy's `time_scale`),
+/// and the first success or the reason the job stopped is returned. A
+/// panicking attempt is caught and never retried.
+fn run_attempts<T, E>(
+    inner: &Inner,
+    retry: RetryPolicy,
+    job: &mut impl FnMut(u32) -> Result<T, E>,
+) -> Result<T, TaskFailure<E>> {
+    let max = retry.max_attempts.max(1);
+    let mut attempt = 0u32;
+    loop {
+        let error = match catch_unwind(AssertUnwindSafe(|| job(attempt))) {
+            Ok(Ok(value)) => return Ok(value),
+            Ok(Err(error)) => error,
+            Err(payload) => {
+                return Err(TaskFailure::Panicked {
+                    message: panic_message(payload.as_ref()),
+                })
+            }
+        };
+        attempt += 1;
+        if attempt >= max {
+            if max == 1 {
+                return Err(TaskFailure::Failed(error));
+            }
+            inner.state.lock().gave_up += 1;
+            return Err(TaskFailure::GaveUp {
+                attempts: attempt,
+                error,
+            });
+        }
+        inner.state.lock().retried += 1;
+        let backoff = retry.backoff_wall(attempt);
+        if !backoff.is_zero() {
+            std::thread::sleep(backoff);
+        }
     }
 }
 
@@ -398,11 +440,6 @@ impl Executor {
         }
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// The executor's wall-clock timing plane. Session runners drain task
     /// timings from here and benchmarks join them to the event plane by
     /// span id.
@@ -417,21 +454,35 @@ impl Executor {
         self.inner.plane.set_enabled(on);
     }
 
-    /// Submits a closure at the given priority. Panics inside the job are
-    /// caught by the worker and surfaced in [`ExecutorStats::failed`].
-    pub fn submit<F>(&self, priority: Priority, job: F)
+    /// Queues `job` under `spec` and returns a [`TaskHandle`] that resolves
+    /// to its first `Ok` value or a [`TaskFailure`].
+    ///
+    /// The closure receives the 0-based attempt index; an `Err` attempt is
+    /// re-run under `spec.retry` (see [`RetryPolicy`]). All attempts run
+    /// inside **one** executor job, so `submitted`/`completed` and the
+    /// timing plane count the operation once and [`Executor::wait_idle`]
+    /// converges exactly as for a single attempt. A panicking attempt is
+    /// never retried — panics are bugs, not transient faults — and surfaces
+    /// both in the handle and in [`ExecutorStats::failed`].
+    pub fn submit<T, E, F>(&self, spec: TaskSpec, mut job: F) -> TaskHandle<T, E>
     where
-        F: FnOnce() + Send + 'static,
+        T: Send + 'static,
+        E: Send + 'static,
+        F: FnMut(u32) -> Result<T, E> + Send + 'static,
     {
-        self.submit_labeled(priority, TaskLabel::unlabeled(), job)
-    }
-
-    /// [`Executor::submit`] with a timing-plane label attributing the task
-    /// to a session phase and iteration.
-    pub fn submit_labeled<F>(&self, priority: Priority, label: TaskLabel, job: F)
-    where
-        F: FnOnce() + Send + 'static,
-    {
+        let shared = Arc::new(HandleShared {
+            result: Mutex::new(None),
+            done: Condvar::new(),
+        });
+        let slot = Arc::clone(&shared);
+        let retry = spec.retry;
+        let job = Box::new(move |inner: &Inner| {
+            let result = run_attempts(inner, retry, &mut job);
+            let panicked = matches!(result, Err(TaskFailure::Panicked { .. }));
+            *slot.result.lock() = Some(result);
+            slot.done.notify_all();
+            panicked
+        });
         let submit_us = self.inner.plane.now_us();
         {
             let mut state = self.inner.state.lock();
@@ -440,160 +491,17 @@ impl Executor {
             state.submitted += 1;
             let span = state.submitted;
             state.push(
-                priority,
+                spec.priority,
                 QueuedJob {
-                    job: Box::new(job),
+                    job,
                     span,
-                    label,
-                    class: queue_class(priority),
+                    label: spec.label,
+                    class: spec.priority.queue_class(),
                     submit_us,
                 },
             );
         }
         self.inner.available.notify_one();
-    }
-
-    /// Submits a closure and returns a [`TaskHandle`] that resolves to its
-    /// return value. A panic inside the job is stored in the handle **and**
-    /// re-raised to the worker so it is counted in [`ExecutorStats::failed`].
-    pub fn submit_with_handle<T, F>(&self, priority: Priority, job: F) -> TaskHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.submit_with_handle_labeled(priority, TaskLabel::unlabeled(), job)
-    }
-
-    /// [`Executor::submit_with_handle`] with a timing-plane label.
-    pub fn submit_with_handle_labeled<T, F>(
-        &self,
-        priority: Priority,
-        label: TaskLabel,
-        job: F,
-    ) -> TaskHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let shared = Arc::new(HandleShared {
-            result: Mutex::new(None),
-            done: Condvar::new(),
-        });
-        let slot = Arc::clone(&shared);
-        self.submit_labeled(priority, label, move || {
-            let outcome = catch_unwind(AssertUnwindSafe(job));
-            let panicked = match &outcome {
-                Ok(_) => None,
-                Err(payload) => Some(panic_message(payload.as_ref())),
-            };
-            *slot.result.lock() = Some(match outcome {
-                Ok(value) => Ok(value),
-                Err(_) => Err(JobPanicked {
-                    message: panicked.clone().unwrap_or_default(),
-                }),
-            });
-            slot.done.notify_all();
-            if let Some(message) = panicked {
-                // Re-raise so the worker loop counts this job as failed; the
-                // handle already holds the error, so nothing is lost.
-                std::panic::resume_unwind(Box::new(message));
-            }
-        });
-        TaskHandle { shared }
-    }
-
-    /// Submits a fallible job that is retried in place under `policy`: the
-    /// closure receives the 0-based attempt index, failed attempts back off
-    /// for a deterministic virtual-time delay (scaled by the policy's
-    /// `time_scale`), and the handle resolves to the first success or a
-    /// [`TaskFailure`] describing why the job gave up.
-    ///
-    /// All attempts run inside **one** executor job, so `submitted`/
-    /// `completed` count the operation once and [`Executor::wait_idle`]
-    /// converges exactly as for plain jobs; `retried` counts every re-run
-    /// attempt and `gave_up` counts exhausted budgets. A panicking attempt is
-    /// never retried — panics are bugs, not transient faults — and is both
-    /// stored in the handle and re-raised so the worker counts it in
-    /// [`ExecutorStats::failed`].
-    pub fn submit_retryable<T, E, F>(
-        &self,
-        priority: Priority,
-        policy: RetryPolicy,
-        job: F,
-    ) -> TaskHandle<Result<T, TaskFailure<E>>>
-    where
-        T: Send + 'static,
-        E: Send + 'static,
-        F: FnMut(u32) -> Result<T, E> + Send + 'static,
-    {
-        self.submit_retryable_labeled(priority, TaskLabel::unlabeled(), policy, job)
-    }
-
-    /// [`Executor::submit_retryable`] with a timing-plane label; the whole
-    /// retry sequence is one span.
-    pub fn submit_retryable_labeled<T, E, F>(
-        &self,
-        priority: Priority,
-        label: TaskLabel,
-        policy: RetryPolicy,
-        mut job: F,
-    ) -> TaskHandle<Result<T, TaskFailure<E>>>
-    where
-        T: Send + 'static,
-        E: Send + 'static,
-        F: FnMut(u32) -> Result<T, E> + Send + 'static,
-    {
-        let shared = Arc::new(HandleShared {
-            result: Mutex::new(None),
-            done: Condvar::new(),
-        });
-        let slot = Arc::clone(&shared);
-        let inner = Arc::clone(&self.inner);
-        self.submit_labeled(priority, label, move || {
-            let max = policy.max_attempts.max(1);
-            let mut attempt = 0u32;
-            loop {
-                match catch_unwind(AssertUnwindSafe(|| job(attempt))) {
-                    Ok(Ok(value)) => {
-                        *slot.result.lock() = Some(Ok(Ok(value)));
-                        slot.done.notify_all();
-                        return;
-                    }
-                    Ok(Err(error)) => {
-                        attempt += 1;
-                        if attempt >= max {
-                            let failure = if max == 1 {
-                                TaskFailure::Failed(error)
-                            } else {
-                                inner.state.lock().gave_up += 1;
-                                TaskFailure::GaveUp {
-                                    attempts: attempt,
-                                    error,
-                                }
-                            };
-                            *slot.result.lock() = Some(Ok(Err(failure)));
-                            slot.done.notify_all();
-                            return;
-                        }
-                        inner.state.lock().retried += 1;
-                        let backoff = policy.backoff_wall(attempt);
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff);
-                        }
-                    }
-                    Err(payload) => {
-                        let message = panic_message(payload.as_ref());
-                        *slot.result.lock() = Some(Ok(Err(TaskFailure::Panicked(JobPanicked {
-                            message: message.clone(),
-                        }))));
-                        slot.done.notify_all();
-                        // Re-raise so the worker loop counts this job as
-                        // failed; the handle already holds the error.
-                        std::panic::resume_unwind(Box::new(message));
-                    }
-                }
-            }
-        });
         TaskHandle { shared }
     }
 
@@ -665,22 +573,13 @@ fn worker_loop(inner: Arc<Inner>, worker: usize) {
         };
         let Some(queued) = queued else { return };
         let start_us = inner.plane.now_us();
-        let outcome = catch_unwind(AssertUnwindSafe(queued.job));
+        // The job wraps its attempts in `catch_unwind` (see `run_attempts`),
+        // so a panic never unwinds into — or kills — this worker.
+        let panicked = (queued.job)(&inner);
         let end_us = inner.plane.now_us();
-        {
-            let mut state = inner.state.lock();
-            state.in_flight -= 1;
-            state.completed += 1;
-            state.queue_wait_us += start_us.saturating_sub(queued.submit_us);
-            if outcome.is_err() {
-                state.failed += 1;
-            }
-            if state.is_drained() {
-                inner.drained.notify_all();
-            }
-        }
-        // Recorded after the queue lock is released: the timing plane has
-        // its own lock and the two must never nest.
+        // Recorded before the job counts as completed, so a span is never
+        // missing once `wait_idle` returns; outside the queue lock, because
+        // the timing plane has its own lock and the two must never nest.
         inner.plane.record_task(TaskTiming {
             span: queued.span,
             label: queued.label,
@@ -690,14 +589,33 @@ fn worker_loop(inner: Arc<Inner>, worker: usize) {
             start_us,
             end_us,
         });
+        let mut state = inner.state.lock();
+        state.in_flight -= 1;
+        state.completed += 1;
+        state.queue_wait_us += start_us.saturating_sub(queued.submit_us);
+        if panicked {
+            state.failed += 1;
+        }
+        if state.is_drained() {
+            inner.drained.notify_all();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex as StdMutex;
+
+    /// Submits an unlabeled, single-attempt job that cannot fail.
+    fn spawn(ex: &Executor, priority: Priority, mut f: impl FnMut() + Send + 'static) {
+        ex.submit(TaskSpec::new(priority), move |_| {
+            f();
+            Ok::<_, Infallible>(())
+        });
+    }
 
     #[test]
     fn runs_all_submitted_jobs() {
@@ -705,7 +623,7 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..100 {
             let c = Arc::clone(&counter);
-            ex.submit(Priority::Normal, move || {
+            spawn(&ex, Priority::Normal, move || {
                 c.fetch_add(1, Ordering::SeqCst);
             });
         }
@@ -729,7 +647,7 @@ mod tests {
         let gate = Arc::new(AtomicBool::new(false));
         {
             let gate = Arc::clone(&gate);
-            ex.submit(Priority::Critical, move || {
+            spawn(&ex, Priority::Critical, move || {
                 while !gate.load(Ordering::SeqCst) {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
@@ -737,13 +655,13 @@ mod tests {
         }
         for i in 0..3 {
             let order = Arc::clone(&order);
-            ex.submit(Priority::Background, move || {
+            spawn(&ex, Priority::Background, move || {
                 order.lock().unwrap().push(format!("bg-{i}"));
             });
         }
         for i in 0..3 {
             let order = Arc::clone(&order);
-            ex.submit(Priority::Critical, move || {
+            spawn(&ex, Priority::Critical, move || {
                 order.lock().unwrap().push(format!("crit-{i}"));
             });
         }
@@ -764,7 +682,7 @@ mod tests {
             let ex = Executor::new(2);
             for _ in 0..10 {
                 let c = Arc::clone(&counter);
-                ex.submit(Priority::Normal, move || {
+                spawn(&ex, Priority::Normal, move || {
                     c.fetch_add(1, Ordering::SeqCst);
                 });
             }
@@ -785,10 +703,10 @@ mod tests {
         // bumping `completed`, so `wait_idle` spun forever.
         let ex = Executor::new(2);
         let ran = Arc::new(AtomicUsize::new(0));
-        ex.submit(Priority::Normal, || panic!("job exploded"));
+        spawn(&ex, Priority::Normal, || panic!("job exploded"));
         for _ in 0..5 {
             let ran = Arc::clone(&ran);
-            ex.submit(Priority::Normal, move || {
+            spawn(&ex, Priority::Normal, move || {
                 ran.fetch_add(1, Ordering::SeqCst);
             });
         }
@@ -807,10 +725,12 @@ mod tests {
         // could never run.
         let ex = Executor::new(1);
         let ran = Arc::new(AtomicBool::new(false));
-        ex.submit(Priority::Normal, || panic!("first job dies"));
+        spawn(&ex, Priority::Normal, || panic!("first job dies"));
         {
             let ran = Arc::clone(&ran);
-            ex.submit(Priority::Normal, move || ran.store(true, Ordering::SeqCst));
+            spawn(&ex, Priority::Normal, move || {
+                ran.store(true, Ordering::SeqCst)
+            });
         }
         ex.wait_idle();
         assert!(ran.load(Ordering::SeqCst));
@@ -824,13 +744,13 @@ mod tests {
         let gate = Arc::new(AtomicBool::new(false));
         {
             let gate = Arc::clone(&gate);
-            ex.submit(Priority::Normal, move || {
+            spawn(&ex, Priority::Normal, move || {
                 while !gate.load(Ordering::SeqCst) {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
             });
         }
-        ex.submit(Priority::Normal, || {});
+        spawn(&ex, Priority::Normal, || {});
         let stats = ex.stats();
         assert_eq!(stats.submitted, 2);
         assert!(stats.completed <= 1);
@@ -846,7 +766,7 @@ mod tests {
         let gate = Arc::new(AtomicBool::new(false));
         {
             let gate = Arc::clone(&gate);
-            ex.submit(Priority::Normal, move || {
+            spawn(&ex, Priority::Normal, move || {
                 while !gate.load(Ordering::SeqCst) {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
@@ -888,17 +808,17 @@ mod tests {
         let gate = Arc::new(AtomicBool::new(false));
         {
             let gate = Arc::clone(&gate);
-            ex.submit(Priority::Critical, move || {
+            spawn(&ex, Priority::Critical, move || {
                 while !gate.load(Ordering::SeqCst) {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
             });
         }
         for _ in 0..3 {
-            ex.submit(Priority::Normal, || {});
+            spawn(&ex, Priority::Normal, || {});
         }
         for _ in 0..2 {
-            ex.submit(Priority::Background, || {});
+            spawn(&ex, Priority::Background, || {});
         }
         gate.store(true, Ordering::SeqCst);
         ex.wait_idle();
@@ -914,12 +834,23 @@ mod tests {
     #[test]
     fn timing_plane_records_labeled_spans_with_queue_wait() {
         let ex = Executor::new(2);
-        let h1 =
-            ex.submit_with_handle_labeled(Priority::Normal, TaskLabel::new("train", 3), || {
-                std::thread::sleep(std::time::Duration::from_millis(2))
-            });
-        let h2 =
-            ex.submit_with_handle_labeled(Priority::Critical, TaskLabel::new("infer", 3), || {});
+        let h1 = ex.submit(
+            TaskSpec {
+                label: TaskLabel::new("train", 3),
+                ..TaskSpec::new(Priority::Normal)
+            },
+            |_| {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                Ok::<_, Infallible>(())
+            },
+        );
+        let h2 = ex.submit(
+            TaskSpec {
+                label: TaskLabel::new("infer", 3),
+                ..TaskSpec::new(Priority::Critical)
+            },
+            |_| Ok::<_, Infallible>(()),
+        );
         h1.join().unwrap();
         h2.join().unwrap();
         ex.wait_idle();
@@ -940,10 +871,38 @@ mod tests {
     }
 
     #[test]
+    fn a_retried_job_is_one_submission_and_one_labeled_span() {
+        let ex = Executor::new(1);
+        let spec = TaskSpec {
+            priority: Priority::Normal,
+            label: TaskLabel::new("train", 7),
+            retry: RetryPolicy::new(3, 0.0, 1.0),
+        };
+        let handle = ex.submit(spec, |attempt| {
+            if attempt < 2 {
+                Err("transient")
+            } else {
+                Ok(attempt)
+            }
+        });
+        assert_eq!(handle.join().unwrap(), 2);
+        ex.wait_idle();
+        let stats = ex.stats();
+        assert_eq!(stats.submitted, 1);
+        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.retried, 2);
+        assert_eq!(stats.gave_up, 0);
+        let tasks = ex.timing().tasks();
+        assert_eq!(tasks.len(), 1, "the whole retry sequence is one span");
+        assert_eq!(tasks[0].label, spec.label);
+        assert_eq!(tasks[0].class, QueueClass::Normal);
+    }
+
+    #[test]
     fn disabled_timing_plane_keeps_counters_but_drops_spans() {
         let ex = Executor::new(1);
         ex.set_timing_enabled(false);
-        ex.submit(Priority::Normal, || {});
+        spawn(&ex, Priority::Normal, || {});
         ex.wait_idle();
         assert!(ex.timing().tasks().is_empty());
         assert_eq!(ex.stats().completed, 1);
@@ -953,7 +912,9 @@ mod tests {
     #[test]
     fn handle_returns_the_job_result() {
         let ex = Executor::new(2);
-        let handle = ex.submit_with_handle(Priority::Critical, || 6 * 7);
+        let handle = ex.submit(TaskSpec::new(Priority::Critical), |_| {
+            Ok::<_, Infallible>(6 * 7)
+        });
         assert_eq!(handle.join().unwrap(), 42);
         ex.wait_idle();
         assert_eq!(ex.stats().failed, 0);
@@ -962,58 +923,38 @@ mod tests {
     #[test]
     fn handle_surfaces_a_panic_as_error_and_counts_it_failed() {
         let ex = Executor::new(2);
-        let handle = ex.submit_with_handle(Priority::Normal, || -> usize {
-            panic!("typed job exploded");
-        });
+        let handle = ex.submit(
+            TaskSpec::new(Priority::Normal),
+            |_| -> Result<usize, Infallible> {
+                panic!("typed job exploded");
+            },
+        );
         let err = handle.join().unwrap_err();
-        assert!(err.message.contains("typed job exploded"), "{err}");
+        assert!(
+            matches!(&err, TaskFailure::Panicked { message } if message.contains("typed job exploded")),
+            "{err:?}"
+        );
         ex.wait_idle();
         let stats = ex.stats();
-        assert_eq!(
-            stats.failed, 1,
-            "handle jobs re-raise so workers count them"
-        );
+        assert_eq!(stats.failed, 1, "panicked jobs are counted by the worker");
         assert_eq!(stats.completed, 1);
-    }
-
-    #[test]
-    fn try_join_reports_progress() {
-        let ex = Executor::new(1);
-        let gate = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let gate = Arc::clone(&gate);
-            ex.submit_with_handle(Priority::Normal, move || {
-                while !gate.load(Ordering::SeqCst) {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                "done"
-            })
-        };
-        assert!(!handle.is_finished());
-        assert!(handle.try_join().is_none());
-        gate.store(true, Ordering::SeqCst);
-        ex.wait_idle();
-        assert!(handle.is_finished());
-        assert_eq!(handle.try_join().unwrap().unwrap(), "done");
-    }
-
-    #[test]
-    fn workers_accessor() {
-        assert_eq!(Executor::new(3).workers(), 3);
     }
 
     #[test]
     fn retryable_job_succeeds_after_transient_failures() {
         let ex = Executor::new(2);
-        let handle =
-            ex.submit_retryable(Priority::Normal, RetryPolicy::new(4, 0.0, 1.0), |attempt| {
-                if attempt < 2 {
-                    Err("flaky")
-                } else {
-                    Ok(attempt)
-                }
-            });
-        assert_eq!(handle.join_task().unwrap(), 2);
+        let spec = TaskSpec {
+            retry: RetryPolicy::new(4, 0.0, 1.0),
+            ..TaskSpec::new(Priority::Normal)
+        };
+        let handle = ex.submit(spec, |attempt| {
+            if attempt < 2 {
+                Err("flaky")
+            } else {
+                Ok(attempt)
+            }
+        });
+        assert_eq!(handle.join().unwrap(), 2);
         ex.wait_idle();
         let stats = ex.stats();
         assert_eq!(stats.submitted, 1, "all attempts run inside one job");
@@ -1026,12 +967,14 @@ mod tests {
     #[test]
     fn retryable_job_gives_up_when_budget_is_exhausted() {
         let ex = Executor::new(1);
-        let handle = ex.submit_retryable(
-            Priority::Normal,
-            RetryPolicy::new(3, 0.0, 1.0),
-            |_attempt| -> Result<(), &'static str> { Err("always broken") },
-        );
-        match handle.join_task() {
+        let spec = TaskSpec {
+            retry: RetryPolicy::new(3, 0.0, 1.0),
+            ..TaskSpec::new(Priority::Normal)
+        };
+        let handle = ex.submit(spec, |_attempt| -> Result<(), &'static str> {
+            Err("always broken")
+        });
+        match handle.join() {
             Err(TaskFailure::GaveUp { attempts, error }) => {
                 assert_eq!(attempts, 3);
                 assert_eq!(error, "always broken");
@@ -1048,13 +991,12 @@ mod tests {
     #[test]
     fn single_attempt_policy_reports_failed_not_gave_up() {
         let ex = Executor::new(1);
-        let handle = ex.submit_retryable(
-            Priority::Normal,
-            RetryPolicy::none(),
+        let handle = ex.submit(
+            TaskSpec::new(Priority::Normal),
             |_| -> Result<(), &'static str> { Err("no retries allowed") },
         );
         assert!(matches!(
-            handle.join_task(),
+            handle.join(),
             Err(TaskFailure::Failed("no retries allowed"))
         ));
         ex.wait_idle();
@@ -1069,17 +1011,19 @@ mod tests {
         let attempts = Arc::new(AtomicUsize::new(0));
         let handle = {
             let attempts = Arc::clone(&attempts);
-            ex.submit_retryable(
-                Priority::Normal,
-                RetryPolicy::new(5, 0.0, 1.0),
-                move |_| -> Result<(), &'static str> {
-                    attempts.fetch_add(1, Ordering::SeqCst);
-                    panic!("attempt exploded");
-                },
-            )
+            let spec = TaskSpec {
+                retry: RetryPolicy::new(5, 0.0, 1.0),
+                ..TaskSpec::new(Priority::Normal)
+            };
+            ex.submit(spec, move |_| -> Result<(), &'static str> {
+                attempts.fetch_add(1, Ordering::SeqCst);
+                panic!("attempt exploded");
+            })
         };
-        match handle.join_task() {
-            Err(TaskFailure::Panicked(p)) => assert!(p.message.contains("attempt exploded")),
+        match handle.join() {
+            Err(TaskFailure::Panicked { message }) => {
+                assert!(message.contains("attempt exploded"))
+            }
             other => panic!("expected Panicked, got {other:?}"),
         }
         ex.wait_idle();

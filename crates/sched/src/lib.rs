@@ -10,38 +10,26 @@
 //!
 //! The crate provides:
 //!
-//! * [`task`] — task descriptors with priorities and simulated costs,
-//! * [`queue`] — a priority queue (critical → normal → background, FIFO
-//!   within a priority),
-//! * [`executor`] — a panic-safe worker pool that runs closures in priority
-//!   order (the "real" execution path behind `ve-core`'s async session
-//!   engine), with condvar-based idle waits and typed task handles,
-//! * [`simclock`] — a resource-limited simulated clock used by the latency
-//!   experiments (the GPU costs themselves are simulated, Table 3),
+//! * [`executor`] — one priority pool (`T_i` critical, `T_m`/`T_e` normal,
+//!   `T_f⁻` background) with a single [`Executor::submit`] entry point taking
+//!   a [`TaskSpec`]; it is the engine behind `ve-core`'s async session path,
 //! * [`strategy`] — the Serial, `VE-partial`, and `VE-full` scheduling
-//!   strategies and their per-iteration visible-latency accounting,
-//! * [`jit`] — just-in-time model-training scheduling
-//!   (`max(0, B − ⌈T_m / T_user⌉)` labels before training starts), and
-//! * [`eager`] — the eager feature-extraction planner that fills idle
-//!   labeling time with background `T_f⁻` tasks.
+//!   strategies and their per-iteration visible-latency accounting (the
+//!   analytic oracle the measured sessions are checked against),
+//! * [`fault`] — seeded, replayable fault injection, and
+//! * [`parallel`] — thread-count-independent data-parallel helpers for the
+//!   compute hot paths.
+//!
+//! The eager-extraction plan itself lives with the system state it reads
+//! (`VocalExplore::eager_plan` in `ve-core`).
 
-pub mod eager;
 pub mod executor;
 pub mod fault;
-pub mod jit;
 pub mod parallel;
-pub mod queue;
-pub mod simclock;
 pub mod strategy;
-pub mod task;
 
-pub use eager::{EagerExtractionPlan, EagerPlanner};
 pub use executor::{
-    queue_class, Executor, ExecutorStats, JobPanicked, RetryPolicy, TaskFailure, TaskHandle,
+    Executor, ExecutorStats, Priority, RetryPolicy, TaskFailure, TaskHandle, TaskSpec,
 };
 pub use fault::{FaultInjector, FaultPlan, FaultRule, FaultSite, InjectedFault};
-pub use jit::{JitTrainingPolicy, TrainingSchedule};
-pub use queue::PriorityTaskQueue;
-pub use simclock::{SimClock, SimTaskOutcome};
 pub use strategy::{iteration_latency, IterationCosts, IterationLatency, SchedulerStrategy};
-pub use task::{Priority, Task, TaskId, TaskKind};

@@ -5,12 +5,29 @@
 // which is exactly what the disallowed-methods rule forbids in product code.
 #![allow(clippy::disallowed_methods)]
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
-use ve_sched::{Executor, Priority, RetryPolicy, TaskFailure};
+use ve_sched::{Executor, Priority, RetryPolicy, TaskFailure, TaskSpec};
 
 const PRIORITIES: [Priority; 3] = [Priority::Critical, Priority::Normal, Priority::Background];
+
+/// Submits an unlabeled, single-attempt job that cannot fail.
+fn spawn(ex: &Executor, priority: Priority, mut f: impl FnMut() + Send + 'static) {
+    ex.submit(TaskSpec::new(priority), move |_| {
+        f();
+        Ok::<_, Infallible>(())
+    });
+}
+
+/// A job spec at `priority` that retries under `retry`.
+fn retrying(priority: Priority, retry: RetryPolicy) -> TaskSpec {
+    TaskSpec {
+        retry,
+        ..TaskSpec::new(priority)
+    }
+}
 
 #[test]
 fn mixed_priority_flood_from_many_submitters_runs_every_job() {
@@ -30,7 +47,7 @@ fn mixed_priority_flood_from_many_submitters_runs_every_job() {
                 start.wait();
                 for j in 0..JOBS_PER_SUBMITTER {
                     let ran = Arc::clone(&ran);
-                    ex.submit(PRIORITIES[(s + j) % 3], move || {
+                    spawn(&ex, PRIORITIES[(s + j) % 3], move || {
                         ran.fetch_add(1, Ordering::SeqCst);
                     });
                 }
@@ -62,7 +79,7 @@ fn priority_classes_never_invert_under_a_single_worker() {
     let gate = Arc::new(AtomicBool::new(false));
     {
         let gate = Arc::clone(&gate);
-        ex.submit(Priority::Critical, move || {
+        spawn(&ex, Priority::Critical, move || {
             while !gate.load(Ordering::SeqCst) {
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -82,7 +99,7 @@ fn priority_classes_never_invert_under_a_single_worker() {
                     // Each submitter interleaves all three classes.
                     let priority = PRIORITIES[(s + j) % 3];
                     let order = Arc::clone(&order);
-                    ex.submit(priority, move || {
+                    spawn(&ex, priority, move || {
                         order.lock().unwrap().push(priority);
                     });
                 }
@@ -120,9 +137,9 @@ fn stats_converge_when_jobs_panic_under_load() {
                 for j in 0..JOBS_PER_SUBMITTER {
                     let succeeded = Arc::clone(&succeeded);
                     if j % 10 == 3 {
-                        ex.submit(PRIORITIES[(s + j) % 3], || panic!("storm"));
+                        spawn(&ex, PRIORITIES[(s + j) % 3], || panic!("storm"));
                     } else {
-                        ex.submit(PRIORITIES[(s + j) % 3], move || {
+                        spawn(&ex, PRIORITIES[(s + j) % 3], move || {
                             succeeded.fetch_add(1, Ordering::SeqCst);
                         });
                     }
@@ -157,20 +174,23 @@ fn retry_storm_converges_at_one_and_eight_workers() {
         let ex = Executor::new(workers);
         let handles: Vec<_> = (0..JOBS)
             .map(|i| {
-                ex.submit_retryable(PRIORITIES[(i % 3) as usize], policy, move |attempt| {
-                    // Job i needs `i % 4` failed attempts before succeeding
-                    // (0..=3, always within the 4-attempt budget).
-                    if u64::from(attempt) < i % 4 {
-                        Err(format!("transient #{attempt}"))
-                    } else {
-                        Ok(i * i)
-                    }
-                })
+                ex.submit(
+                    retrying(PRIORITIES[(i % 3) as usize], policy),
+                    move |attempt| {
+                        // Job i needs `i % 4` failed attempts before succeeding
+                        // (0..=3, always within the 4-attempt budget).
+                        if u64::from(attempt) < i % 4 {
+                            Err(format!("transient #{attempt}"))
+                        } else {
+                            Ok(i * i)
+                        }
+                    },
+                )
             })
             .collect();
         for (i, handle) in handles.into_iter().enumerate() {
             let i = i as u64;
-            assert_eq!(handle.join_task().unwrap(), i * i, "workers={workers}");
+            assert_eq!(handle.join().unwrap(), i * i, "workers={workers}");
         }
         ex.wait_idle();
         let stats = ex.stats();
@@ -199,17 +219,15 @@ fn give_up_storm_with_panics_converges_and_never_hangs() {
         let mut fine = Vec::new();
         for i in 0..JOBS {
             if i % 10 == 7 {
-                ex.submit(PRIORITIES[(i % 3) as usize], || panic!("storm"));
+                spawn(&ex, PRIORITIES[(i % 3) as usize], || panic!("storm"));
             } else if i % 3 == 0 {
-                doomed.push(ex.submit_retryable::<u64, _, _>(
-                    PRIORITIES[(i % 3) as usize],
-                    policy,
+                doomed.push(ex.submit::<u64, _, _>(
+                    retrying(PRIORITIES[(i % 3) as usize], policy),
                     move |attempt| Err(format!("permanent #{attempt}")),
                 ));
             } else {
-                fine.push(ex.submit_retryable::<_, String, _>(
-                    PRIORITIES[(i % 3) as usize],
-                    policy,
+                fine.push(ex.submit::<_, String, _>(
+                    retrying(PRIORITIES[(i % 3) as usize], policy),
                     move |_| Ok(i),
                 ));
             }
@@ -220,13 +238,13 @@ fn give_up_storm_with_panics_converges_and_never_hangs() {
         );
         let doomed_count = doomed.len() as u64;
         for handle in doomed {
-            match handle.join_task() {
+            match handle.join() {
                 Err(TaskFailure::GaveUp { attempts, .. }) => assert_eq!(attempts, 3),
                 other => panic!("expected give-up, got {other:?} (workers={workers})"),
             }
         }
         for handle in fine {
-            assert!(handle.join_task().is_ok(), "workers={workers}");
+            assert!(handle.join().is_ok(), "workers={workers}");
         }
         let panicked = (0..JOBS).filter(|i| i % 10 == 7).count() as u64;
         let stats = ex.stats();
@@ -244,7 +262,11 @@ fn give_up_storm_with_panics_converges_and_never_hangs() {
 fn handles_resolve_under_concurrent_load() {
     let ex = Arc::new(Executor::new(4));
     let handles: Vec<_> = (0..200u64)
-        .map(|i| ex.submit_with_handle(PRIORITIES[(i % 3) as usize], move || i * i))
+        .map(|i| {
+            ex.submit(TaskSpec::new(PRIORITIES[(i % 3) as usize]), move |_| {
+                Ok::<_, Infallible>(i * i)
+            })
+        })
         .collect();
     for (i, handle) in handles.into_iter().enumerate() {
         assert_eq!(handle.join().unwrap(), (i * i) as u64);
